@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,10 +261,15 @@ class Instance:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Instance":
+        """Rebuild an instance; refuse one with non-finite data.
+
+        Every violation :meth:`validate` finds is listed in one
+        ``ValueError`` (the serve protocol maps it to a single 400).
+        """
         if payload.get("format") != INSTANCE_FORMAT:
             raise ValueError(f"unknown instance format {payload.get('format')!r}")
         arrays = {name: decode_array(payload[name]) for name in _ARRAY_FIELDS}
-        return cls(
+        instance = cls(
             config=SimulationConfig(**payload["config"]),
             seed=payload.get("seed"),
             alpha=float(payload["alpha"]),
@@ -276,6 +282,45 @@ class Instance:
             slot_seconds=float(payload["slot_seconds"]),
             **arrays,
         )
+        errors = instance.validate()
+        if errors:
+            raise ValueError(
+                f"{len(errors)} invalid instance field(s): " + "; ".join(errors)
+            )
+        return instance
+
+    def validate(self) -> list[str]:
+        """Every non-finite value in the instance's float data, by field.
+
+        Geometry, angles, energies, weights, the power model (α, β, gain
+        exponent), the slot length and the config's float parameters must
+        all be finite: solved, a NaN position reads as a plausible utility
+        and an infinite weight as a NaN one.  Returns one message per
+        offending field — empty when the instance is sound.
+        """
+        errors = []
+        for name in _ARRAY_FIELDS:
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "fc":
+                continue
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                where = ", ".join(str([int(i) for i in idx]) for idx in bad[:3])
+                more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+                errors.append(
+                    f"{name} has {len(bad)} non-finite value(s) at {where}{more}"
+                )
+        scalars = [
+            (name, getattr(self, name))
+            for name in ("alpha", "beta", "gain_exponent", "slot_seconds")
+        ] + [
+            (f"config.{f.name}", getattr(self.config, f.name))
+            for f in dataclasses.fields(self.config)
+        ]
+        for name, value in scalars:
+            if isinstance(value, float) and not math.isfinite(value):
+                errors.append(f"{name} is non-finite ({value!r})")
+        return errors
 
     def save(self, path) -> None:
         """Write to ``path`` — JSON for ``.json``, NPZ for ``.npz``."""

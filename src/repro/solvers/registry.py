@@ -132,6 +132,23 @@ class SolverEntry:
     batch_fn: Callable | None = None
 
 
+def _obs_counters() -> dict | None:
+    """The global obs counters now (``None`` while telemetry is off)."""
+    if not obs.enabled():
+        return None
+    return dict(obs.get_registry().snapshot().get("counters", {}))
+
+
+def _obs_counter_delta(before: dict) -> dict:
+    """Counters that moved since ``before``, by how much."""
+    after = obs.get_registry().snapshot().get("counters", {})
+    return {
+        key: after[key] - before.get(key, 0)
+        for key in after
+        if after[key] != before.get(key, 0)
+    }
+
+
 class BoundSolver:
     """A solver entry bound to one validated parameter set."""
 
@@ -166,22 +183,13 @@ class BoundSolver:
         """Run ``run(rng, config)`` and stamp provenance + timing."""
         rng = rng if rng is not None else np.random.default_rng()
         config = config if config is not None else SimulationConfig()
-        before = (
-            dict(obs.get_registry().snapshot().get("counters", {}))
-            if obs.enabled()
-            else None
-        )
+        before = _obs_counters()
         start = time.perf_counter()
         artifact = run(rng, config)
         artifact.wall_time_s = time.perf_counter() - start
         artifact.solver = self.canonical()
         if before is not None:
-            after = obs.get_registry().snapshot().get("counters", {})
-            artifact.obs_counters = {
-                key: after[key] - before.get(key, 0)
-                for key in after
-                if after[key] != before.get(key, 0)
-            }
+            artifact.obs_counters = _obs_counter_delta(before)
         return artifact
 
     def solve(
@@ -285,7 +293,8 @@ class BoundSolver:
 
         Per-member ``wall_time_s`` on the batched path is the batch
         elapsed time divided by the batch size (amortized cost); obs
-        counter deltas are not attributed per member.
+        counter deltas are attributed only to a batch of one, as
+        :meth:`solve_prepared` attributes them.
         """
         B = len(prepareds)
         dt = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
@@ -316,6 +325,7 @@ class BoundSolver:
                 self.solve_prepared(prepared, rng, config)
                 for prepared, rng, config in zip(prepareds, rngs, resolved)
             ]
+        before = _obs_counters() if B == 1 else None
         start = time.perf_counter()
         artifacts = self.entry.batch_fn(
             prepareds, list(rngs), resolved, self.params, dt
@@ -325,6 +335,8 @@ class BoundSolver:
         for artifact in artifacts:
             artifact.wall_time_s = per_member
             artifact.solver = canonical
+        if before is not None:
+            artifacts[0].obs_counters = _obs_counter_delta(before)
         return artifacts
 
     def solve_batch(

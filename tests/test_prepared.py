@@ -161,6 +161,26 @@ class TestPreparedCache:
                 obs.shutdown()
 
 
+    @pytest.mark.parametrize("spec", ["greedy-utility", "greedy-cover"])
+    def test_batch_of_one_stamps_the_same_obs_counters(self, spec):
+        owns = not obs.enabled()
+        if owns:
+            obs.configure()
+        try:
+            prepared = prepare(Instance.sample(QUICK, 24), cached=False)
+            prepared.network  # build outside both measured solves
+            solver = get_solver(spec)
+            solo = solver.solve_prepared(prepared, np.random.default_rng(1))
+            (batched,) = solver.solve_prepared_batch(
+                [prepared], [np.random.default_rng(1)]
+            )
+            assert batched.obs_counters == solo.obs_counters
+            assert batched.obs_counters.get("sim.executions", 0) >= 1
+        finally:
+            if owns:
+                obs.shutdown()
+
+
 class TestConcurrentSolvesBitIdentical:
     """Thread-pool hammering of prepare/solve on mixed content hashes."""
 

@@ -159,6 +159,29 @@ class TestInstanceRoundTrip:
             Instance.load(path)
 
 
+class TestInstanceValidation:
+    def test_sampled_instances_are_finite(self):
+        for seed in range(3):
+            assert Instance.sample(QUICK, seed).validate() == []
+
+    def test_every_non_finite_field_is_listed(self, tmp_path):
+        inst = Instance.sample(QUICK, 5)
+        inst.charger_angle = inst.charger_angle.copy()
+        inst.charger_angle[0] = np.nan
+        inst.required_energy = inst.required_energy.copy()
+        inst.required_energy[[1, 2, 3, 4]] = -np.inf
+        inst.beta = float("nan")
+        errors = inst.validate()
+        assert len(errors) == 3
+        assert any("required_energy has 4" in e and "1 more" in e for e in errors)
+        path = tmp_path / "bad.npz"
+        inst.save(path)  # saving is allowed; loading it back is refused
+        with pytest.raises(ValueError, match="3 invalid instance field") as err:
+            Instance.load(path)
+        for name in ("charger_angle", "required_energy", "beta"):
+            assert name in str(err.value)
+
+
 class TestArtifactRoundTrip:
     @pytest.mark.parametrize("spec", ["greedy-utility", "online-haste:c=1"])
     def test_solved_artifact_roundtrips_both_formats(self, spec, tmp_path):
