@@ -102,7 +102,7 @@ def test_distributed_negotiation(benchmark, network):
 
 # ----------------------------------------------------------------------
 # Fast-path kernels: sparse policy matrices vs the dense reference, the
-# lazy partition sweep, and the incremental per-arrival constructors.
+# centralized sweep, and the incremental per-arrival constructors.
 # ----------------------------------------------------------------------
 def _first_partition(network):
     i = next(i for i in range(network.n) if network.policy_count(i) > 1)
@@ -145,15 +145,12 @@ def test_energies_of_schedule(benchmark, network, use_sparse):
     assert energies.shape == (network.m,)
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
-def test_centralized_sweep(benchmark, network, lazy):
-    """Full C=4 TabularGreedy sweep: lazy dirty-aware vs eager reference."""
+def test_centralized_sweep(benchmark, network):
+    """Full C=4 TabularGreedy sweep."""
     scheduler = CentralizedScheduler(network)
 
     res = benchmark.pedantic(
-        lambda: scheduler.run(
-            4, num_samples=16, rng=np.random.default_rng(8), lazy=lazy
-        ),
+        lambda: scheduler.run(4, num_samples=16, rng=np.random.default_rng(8)),
         rounds=1,
         iterations=1,
     )

@@ -19,10 +19,10 @@ modes are combined:
   Before/after repeats are interleaved in time so slow drift of the host
   (thermal, co-tenants) hits both sides equally, and the median repeat is
   reported.
-* **flags-reference** — in-process micro-kernels where the dense/eager
-  reference is still available behind flags (``use_sparse=False``,
-  ``lazy=False``).  Both sides run in this interpreter, interleaved, and
-  medians are reported.
+* **flags-reference** — in-process micro-kernels where the dense
+  reference is still available behind a flag (``use_sparse=False``) or a
+  constructor (per-arrival objectives).  Both sides run in this
+  interpreter, interleaved, and medians are reported.
 
 Usage::
 
@@ -240,10 +240,10 @@ def interleaved_inprocess_op(
 
 
 def micro_benchmarks(scale: str) -> list[dict]:
-    """In-process micro-kernels: dense/eager reference vs fast path."""
+    """In-process micro-kernels: dense reference vs fast path."""
     import numpy as np
     from repro.objective import HasteObjective
-    from repro.offline import CentralizedScheduler, schedule_offline
+    from repro.offline import schedule_offline
     from repro.sim import SimulationConfig, sample_network
 
     cfg = (getattr(SimulationConfig, scale)() if scale != "default"
@@ -286,20 +286,6 @@ def micro_benchmarks(scale: str) -> list[dict]:
             before_fn=lambda: HasteObjective(net, task_mask=known),
             after_fn=lambda: base.masked_view(known),
             instance=instance, inner=5,
-        )
-    )
-
-    scheduler = CentralizedScheduler(net)
-    results.append(
-        interleaved_inprocess_op(
-            op="sweep_lazy_vs_eager",
-            before_fn=lambda: scheduler.run(
-                cfg.num_colors, num_samples=S,
-                rng=np.random.default_rng(5), lazy=False),
-            after_fn=lambda: scheduler.run(
-                cfg.num_colors, num_samples=S,
-                rng=np.random.default_rng(5), lazy=True),
-            instance=instance, repeats=3 if scale == "paper" else 5,
         )
     )
     return results

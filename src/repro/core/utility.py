@@ -69,18 +69,6 @@ class UtilityFunction(ABC):
         """
         return None
 
-    def saturation_energies(self):
-        """Per-task energy beyond which the marginal gain is *exactly* zero.
-
-        Returns an array broadcastable against a task-energy vector, or
-        ``None`` when the utility has no hard saturation point (then no
-        exact-zero pruning is possible).  The lazy partition sweep uses this
-        to skip visits whose reachable tasks are all saturated — the gain of
-        every candidate policy is exactly ``0.0`` there, so the skip cannot
-        change the schedule.
-        """
-        return None
-
     def is_concave_on(self, grid) -> bool:
         """Empirical concavity check on a grid — used by property tests."""
         g = np.sort(np.asarray(grid, dtype=float))
@@ -125,9 +113,6 @@ class LinearBoundedUtility(UtilityFunction):
         if self.required_energy.size == 1:
             return type(self)(self.required_energy)
         return type(self)(self.required_energy[np.asarray(cols, dtype=int)])
-
-    def saturation_energies(self):
-        return self.required_energy
 
 
 class LogUtility(UtilityFunction):
@@ -187,6 +172,3 @@ class PowerLawUtility(UtilityFunction):
         return type(self)(
             self.required_energy[np.asarray(cols, dtype=int)], gamma=self.gamma
         )
-
-    def saturation_energies(self):
-        return self.required_energy

@@ -63,23 +63,6 @@ def run(*, trials: int, seed: int, scale: str, processes: int) -> ExperimentOutp
         )
     )
 
-    # Lazy sweep: the dirty-aware cache must answer part of the visits
-    # without running the gain kernel, and the split must account for
-    # every visit (fresh + cached + pruned == scans).
-    lazy_total = w4.fresh_scans + w4.cached_reuses + w4.pruned_skips
-    rows.append(
-        f"  lazy sweep (C=4)     fresh {w4.fresh_scans}/{w4.scans}"
-        f"          reuse {w4.reuse_fraction:11.2%}"
-    )
-    checks.append(
-        ShapeCheck(
-            "lazy sweep reuses cached gains (fresh scans < eager scans)",
-            bool(lazy_total == w4.scans and w4.fresh_scans < w4.scans),
-            f"fresh {w4.fresh_scans} + cached {w4.cached_reuses} "
-            f"+ pruned {w4.pruned_skips} of {w4.scans} visits",
-        )
-    )
-
     # Horizon: double K (longer tasks) → relevant slots/partitions grow.
     short_cfg = base.replace(
         duration_slots_min=max(base.duration_slots_min // 2, 1),

@@ -248,7 +248,8 @@ class HasteObjective:
     def changed_tasks(self, charger: int, slot: int, policy: int) -> np.ndarray:
         """Network-level indices of tasks whose energy ``policy`` changes.
 
-        The lazy partition sweep marks exactly these dirty after a commit.
+        Distributed negotiation (:mod:`repro.online.distributed`) marks
+        exactly these dirty after a commit.
         Cached per ``(charger, slot, policy)`` — static data.
         """
         key = (charger, slot, policy)

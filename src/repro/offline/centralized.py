@@ -20,11 +20,10 @@ Implementation notes (performance-guide driven):
   returns the marginal of *every* policy against the matching sample rows
   at once (:meth:`repro.objective.haste.HasteObjective.partition_gains_rows`,
   which gathers only the ``(rows × receivable columns)`` block);
-* the sweep is *lazy* by default (:mod:`repro.offline.lazy`): partitions
-  whose receivable tasks are untouched in the matching rows reuse cached
-  gains, and stale-upper-bound pruning skips provably idle visits — the
-  schedule is identical to the eager sweep's, with the avoided work
-  reported in :class:`OfflineResult`;
+* the sweep is eager: every partition visit with matching samples runs
+  that kernel once.  Alg. 2's partition order is fixed, so CELF-style lazy
+  evaluation cannot reorder anything, and caching clean partitions' gains
+  or pruning saturated ones measured slower than this loop (DESIGN.md §6);
 * partitions are visited in ``(slot, charger)`` order by default; the
   TabularGreedy guarantee is order-invariant (the paper leans on this for
   Thm 6.1), and the tests verify order invariance for ``C = 1``.
@@ -43,7 +42,6 @@ from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
 from ..objective.haste import HasteObjective
 from ..submodular.estimation import ColorSampler
-from .lazy import LazySweepState
 
 __all__ = ["OfflineResult", "CentralizedScheduler", "schedule_offline"]
 
@@ -66,21 +64,21 @@ class OfflineResult:
     num_samples: int
     table: dict = field(repr=False, default_factory=dict)
     partitions: int = 0
-    #: Partition visits with at least one matching sample — the eager
-    #: algorithm's scan count (Thm 5.1's work unit), lazy or not.
+    #: Partition visits with at least one matching sample — the sweep's
+    #: scan count (Thm 5.1's work unit).
     candidate_scans: int = 0
-    #: Visits that actually ran the vectorized gain kernel.
+    #: Visits that ran the gain kernel: always ``candidate_scans``.  Kept
+    #: because the benchmark's per-layer counters read it.
     fresh_scans: int = 0
-    #: Visits answered from the clean-partition gain cache.
-    cached_reuses: int = 0
-    #: Visits pruned outright by the stale upper bound.
+    #: Visits skipped without a scan: always 0.  Kept because the
+    #: benchmark's per-layer counters read it.
     pruned_skips: int = 0
 
     def summary(self) -> str:
         return (
             f"OfflineResult(f={self.objective_value:.6g}, C={self.num_colors}, "
             f"S={self.num_samples}, partitions={self.partitions}, "
-            f"scans={self.fresh_scans}/{self.candidate_scans})"
+            f"scans={self.candidate_scans})"
         )
 
 
@@ -129,7 +127,6 @@ class CentralizedScheduler:
         rng: np.random.Generator | None = None,
         group_order: Sequence[tuple[int, int]] | None = None,
         final_draws: int = 8,
-        lazy: bool = True,
     ) -> OfflineResult:
         """Execute TabularGreedy and return the sampled schedule.
 
@@ -138,13 +135,6 @@ class CentralizedScheduler:
         by sampling (the maximum over draws is at least the expectation the
         guarantee is stated for).  ``final_draws = 1`` is the literal
         Algorithm 2.
-
-        ``lazy`` routes the sweep through the dirty-aware gain cache
-        (:class:`~repro.offline.lazy.LazySweepState`): partitions whose
-        receivable tasks are untouched in the matching sample rows reuse
-        their cached gains, and partitions whose stale upper bound cannot
-        clear ``MIN_GAIN`` are pruned without a scan.  ``lazy=False`` runs
-        the eager reference sweep; both produce the same schedule.
 
         When the observability layer is enabled (:mod:`repro.obs`), the
         run is traced as an ``offline.run`` span with one
@@ -156,7 +146,6 @@ class CentralizedScheduler:
         with obs.span(
             "offline.run",
             colors=num_colors,
-            lazy=lazy,
             sparse=self.objective.use_sparse,
         ):
             result = self._run(
@@ -165,26 +154,18 @@ class CentralizedScheduler:
                 rng=rng,
                 group_order=group_order,
                 final_draws=final_draws,
-                lazy=lazy,
             )
         if obs.enabled():
             obs.inc("offline.runs")
             obs.inc("offline.partitions", result.partitions)
             obs.inc("offline.candidate_scans", result.candidate_scans)
-            obs.inc("offline.fresh_scans", result.fresh_scans)
-            obs.inc("offline.cached_reuses", result.cached_reuses)
-            obs.inc("offline.pruned_skips", result.pruned_skips)
             obs.event(
                 "offline.run",
                 colors=num_colors,
                 samples=result.num_samples,
                 sparse=self.objective.use_sparse,
-                lazy=lazy,
                 value=result.objective_value,
                 candidate_scans=result.candidate_scans,
-                fresh_scans=result.fresh_scans,
-                cached_reuses=result.cached_reuses,
-                pruned_skips=result.pruned_skips,
             )
         return result
 
@@ -196,7 +177,6 @@ class CentralizedScheduler:
         rng: np.random.Generator | None,
         group_order: Sequence[tuple[int, int]] | None,
         final_draws: int,
-        lazy: bool,
     ) -> OfflineResult:
         """The actual TabularGreedy sweep (see :meth:`run`)."""
         rng = rng if rng is not None else np.random.default_rng()
@@ -209,49 +189,27 @@ class CentralizedScheduler:
         sampler = ColorSampler(order, num_colors, num_samples, rng)
         S = sampler.num_samples
         energies = self.objective.zero_energy((S,))  # (S, m)
-        sweep = (
-            LazySweepState(self.objective, order, S, threshold=MIN_GAIN)
-            if lazy
-            else None
-        )
         matches = sampler.matches_by_color()
-        bits = (
-            sweep.match_bits_by_color(sampler.colors, num_colors)
-            if sweep is not None
-            else None
-        )
 
         table: dict[tuple[int, int, int], int] = {}
         scans = 0
         for c in range(num_colors):
             color_matches = matches[c]
-            color_bits = bits[c] if bits is not None else None
             with obs.span("offline.color_sweep", color=c):
                 for g, (i, k) in enumerate(order):
                     match = color_matches[g]
                     if match.size == 0:
                         continue
                     scans += 1
-                    if sweep is not None:
-                        mb = color_bits[g] if color_bits is not None else None
-                        total = sweep.totals(energies, i, k, match, mb)
-                        if total is None:
-                            continue  # provably idle — bit-identical skip
-                    else:
-                        gains = self.objective.partition_gains_rows(
-                            energies, match, i, k
-                        )
-                        total = gains.sum(axis=0) / S  # (P_i,)
+                    gains = self.objective.partition_gains_rows(
+                        energies, match, i, k
+                    )
+                    total = gains.sum(axis=0) / S  # (P_i,)
                     best_p = int(total.argmax())
                     if best_p == IDLE_POLICY or total[best_p] <= MIN_GAIN:
                         continue
                     table[(i, k, c)] = best_p
-                    if sweep is not None:
-                        sweep.commit(energies, i, k, best_p, match, mb)
-                    else:
-                        self.objective.apply_rows(
-                            energies, match, i, k, best_p
-                        )
+                    self.objective.apply_rows(energies, match, i, k, best_p)
 
         if final_draws < 1:
             raise ValueError(f"final_draws must be >= 1, got {final_draws}")
@@ -282,9 +240,7 @@ class CentralizedScheduler:
             table=table,
             partitions=len(order),
             candidate_scans=scans,
-            fresh_scans=sweep.fresh_scans if sweep is not None else scans,
-            cached_reuses=sweep.cached_reuses if sweep is not None else 0,
-            pruned_skips=sweep.pruned_skips if sweep is not None else 0,
+            fresh_scans=scans,
         )
 
 

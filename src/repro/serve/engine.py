@@ -11,7 +11,8 @@ harness) sit on.  One engine holds:
   :func:`~repro.solvers.registry.get_solver`, plus a **supervisor**
   thread that detects crashed workers, restarts them, and counts the
   restarts (``serve.worker_restarts``) — a request that kills a worker
-  is quarantined instead of wedging the queue;
+  is quarantined instead of wedging the queue, and its worker is
+  replaced before the request is requeued for the degradation ladder;
 * a **prepared-state cache**: requests for the same
   ``Instance.content_hash`` share one :class:`~repro.solvers.prepared.
   PreparedNetwork` — the process-global :data:`~repro.solvers.prepared.
@@ -466,7 +467,7 @@ class ScheduleEngine:
                 return
 
     def _note_poison(self, req: _Request, exc: BaseException) -> None:
-        """Handle a request that killed its worker (quarantine + answer)."""
+        """Quarantine a worker-killing request, replace the worker, answer."""
         job, key = req.job, req.key
         self._count("worker_crashes")
         self._count("errors")
@@ -486,6 +487,10 @@ class ScheduleEngine:
         crash_error = WorkerCrashed(
             f"worker died executing {job.spec!r}: {type(exc).__name__}: {exc}"
         )
+        # Replace the dying worker first: the pool is whole by the time
+        # anything can answer the requeued request.
+        if self._supervisor is not None:
+            self._restart(threading.current_thread())
         if job.degrade and self._ladder is not None and not job.skip_primary:
             # Re-route the poisoned request to the degradation ladder on a
             # fresh future bridged back onto the caller's — the restarted
@@ -517,24 +522,24 @@ class ScheduleEngine:
             if self._closed:
                 return
             with self._lock:
-                snapshot = list(enumerate(self._workers))
-            for i, t in snapshot:
-                if t.is_alive():
-                    continue
-                replacement = threading.Thread(
-                    target=self._worker_loop, name=t.name, daemon=True
-                )
-                with self._lock:
-                    if self._closed or self._workers[i] is not t:
-                        continue
-                    self._workers[i] = replacement
-                    self.worker_restarts += 1
-                replacement.start()
-                if obs.enabled():
-                    obs.inc("serve.worker_restarts")
-                    obs.event(
-                        "serve.worker_restart", level="warning", worker=t.name
-                    )
+                snapshot = list(self._workers)
+            for t in snapshot:
+                if not t.is_alive():
+                    self._restart(t)
+
+    def _restart(self, t: threading.Thread) -> None:
+        """Replace worker ``t`` with a fresh thread (no-op once replaced)."""
+        replacement = threading.Thread(
+            target=self._worker_loop, name=t.name, daemon=True
+        )
+        with self._lock:
+            if self._closed or t not in self._workers:
+                return
+            self._workers[self._workers.index(t)] = replacement
+        replacement.start()
+        self._count("worker_restarts")
+        if obs.enabled():
+            obs.event("serve.worker_restart", level="warning", worker=t.name)
 
     # ------------------------------------------------------------------
     # The request pipeline: admit → solve (grouped) → finish
@@ -545,8 +550,8 @@ class ScheduleEngine:
         Returns ``True`` when this worker must exit after the group: the
         drain consumed a ``_SHUTDOWN`` (close() is tearing down), or a
         worker-killing crash (a ``BaseException``) struck — the request
-        that raised it is requeued by :meth:`_step`, the rest of its group
-        get :class:`WorkerCrashed`, and the supervisor restarts the worker.
+        that raised it is requeued by :meth:`_step` once its worker is
+        replaced, and the rest of its group get :class:`WorkerCrashed`.
         """
         reqs: list[_Request] = []
         drained: list[tuple] = []

@@ -100,7 +100,6 @@ def _resolve_shard_params(params, config, *, online: bool) -> dict:
         opts["tau"] = int(tau)
     else:
         opts["smooth"] = bool(params["smooth"])
-        opts["lazy"] = bool(params["lazy"])
         opts["utility"] = params["utility"]
         opts["gamma"] = float(params["gamma"])
     return opts
@@ -175,7 +174,6 @@ def _offline_tile_worker(
         num_samples=opts["samples"],
         rng=rng,
         final_draws=opts["final_draws"],
-        lazy=opts["lazy"],
     )
     schedule = result.schedule
     if opts["smooth"]:

@@ -29,7 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimulationConfig"]
+__all__ = [
+    "MAX_HORIZON_SLOTS",
+    "MAX_NUM_COLORS",
+    "MAX_NUM_SAMPLES",
+    "SimulationConfig",
+]
+
+# Sizes no host could serve, refused at the boundary (instances and solver
+# specs).  Each is far above (≥ 30×) what any shipped config, experiment or
+# benchmark uses: at most 100 samples, 8 colors and a 120-slot horizon.
+#: Monte Carlo color samples ``S`` (an ``S × m`` energy matrix per sweep).
+MAX_NUM_SAMPLES: int = 4096
+#: TabularGreedy colors ``C`` (one full partition sweep each).
+MAX_NUM_COLORS: int = 256
+#: Horizon ``K`` in slots (per-slot policy and schedule arrays).
+MAX_HORIZON_SLOTS: int = 10_000
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The uniform algorithm layer (see DESIGN.md §"Solver registry & artifact
 pipeline"): every scheduler in the repo is addressable by a spec string —
 
 >>> from repro.solvers import get_solver
->>> solver = get_solver("haste-offline:c=4,lazy=1")
+>>> solver = get_solver("haste-offline:c=4,smooth=0")
 >>> artifact = solver.solve(network, rng, config)   # -> RunArtifact
 
 Problem instances (:class:`Instance`) and results (:class:`RunArtifact`)

@@ -159,7 +159,6 @@ def _solve_haste_offline(prepared, rng, config, params) -> RunArtifact:
         num_samples=int(samples),
         rng=rng,
         final_draws=int(params["final_draws"]),
-        lazy=bool(params["lazy"]),
     )
     schedule = result.schedule
     if params["smooth"]:
@@ -355,7 +354,6 @@ register(
         setting="offline",
         supports_colors=True,
         supports_sparse=True,
-        supports_lazy=True,
         supports_utility=True,
         supports_shards=True,
         description=(
@@ -366,6 +364,8 @@ register(
         "c": None,
         "samples": None,
         "smooth": True,
+        # Accepted and ignored: Alg. 2 runs one eager sweep.  Kept so the
+        # canonical specs (and content hashes) of `lazy=` requests stay put.
         "lazy": True,
         "sparse": True,
         "final_draws": 8,

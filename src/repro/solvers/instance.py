@@ -31,7 +31,12 @@ from ..core.charger import Charger
 from ..core.network import ChargerNetwork
 from ..core.power import AnisotropicPowerModel, PowerModel
 from ..core.task import ChargingTask
-from ..sim.config import SimulationConfig
+from ..sim.config import (
+    MAX_HORIZON_SLOTS,
+    MAX_NUM_COLORS,
+    MAX_NUM_SAMPLES,
+    SimulationConfig,
+)
 from ..sim.workload import sample_entities
 from .artifact import decode_array, encode_array
 
@@ -261,7 +266,8 @@ class Instance:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Instance":
-        """Rebuild an instance; refuse one with non-finite data.
+        """Rebuild an instance; refuse one with non-finite data or sizes
+        no host could serve.
 
         Every violation :meth:`validate` finds is listed in one
         ``ValueError`` (the serve protocol maps it to a single 400).
@@ -290,13 +296,18 @@ class Instance:
         return instance
 
     def validate(self) -> list[str]:
-        """Every non-finite value in the instance's float data, by field.
+        """Every non-finite value and oversized count in the instance.
 
         Geometry, angles, energies, weights, the power model (α, β, gain
         exponent), the slot length and the config's float parameters must
         all be finite: solved, a NaN position reads as a plausible utility
-        and an infinite weight as a NaN one.  Returns one message per
-        offending field — empty when the instance is sound.
+        and an infinite weight as a NaN one.  The config's sample, colour
+        and horizon counts and the task end slots must stay within
+        :data:`~repro.sim.config.MAX_NUM_SAMPLES`,
+        :data:`~repro.sim.config.MAX_NUM_COLORS` and
+        :data:`~repro.sim.config.MAX_HORIZON_SLOTS`: a few-kilobyte body
+        must not ask for gigabytes.  Returns one message per offending
+        field — empty when the instance is sound.
         """
         errors = []
         for name in _ARRAY_FIELDS:
@@ -320,6 +331,15 @@ class Instance:
         for name, value in scalars:
             if isinstance(value, float) and not math.isfinite(value):
                 errors.append(f"{name} is non-finite ({value!r})")
+        horizon = np.asarray(self.end_slots).max(initial=0)
+        for name, value, bound in (
+            ("config.num_samples", self.config.num_samples, MAX_NUM_SAMPLES),
+            ("config.num_colors", self.config.num_colors, MAX_NUM_COLORS),
+            ("config.horizon_slots", self.config.horizon_slots, MAX_HORIZON_SLOTS),
+            ("end_slots", horizon, MAX_HORIZON_SLOTS),
+        ):
+            if value > bound:
+                errors.append(f"{name}={value} exceeds the bound {bound}")
         return errors
 
     def save(self, path) -> None:

@@ -18,7 +18,7 @@ pre-split monoliths (pinned by the registry equivalence tests).
 
 Solvers register once (module import time, see :mod:`repro.solvers.builtin`)
 with capability metadata; consumers address them by spec string —
-``haste-offline:c=4,lazy=1``, ``greedy-utility``, ``online-haste:tau=2`` —
+``haste-offline:c=4,smooth=0``, ``greedy-utility``, ``online-haste:tau=2`` —
 and get back a :class:`BoundSolver` that validates the parameters against
 the solver's declared set and stamps each result with the canonical spec,
 wall time, and (when enabled) the :mod:`repro.obs` counter delta.
@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .. import obs
-from ..sim.config import SimulationConfig
+from ..sim.config import MAX_NUM_COLORS, MAX_NUM_SAMPLES, SimulationConfig
 from .artifact import RunArtifact
 from .instance import Instance
 from .prepared import PreparedNetwork, prepare, prepare_network
@@ -65,6 +65,10 @@ __all__ = [
 #: solve phase of the two-phase contract).
 SolverBody = Callable[..., RunArtifact]
 
+#: Spec parameters with a size no host could serve, and their bounds
+#: (the same ones :meth:`Instance.validate` applies to the config).
+_SIZE_BOUNDS = {"c": MAX_NUM_COLORS, "samples": MAX_NUM_SAMPLES}
+
 
 class SolverError(Exception):
     """A solver spec that names an unknown solver or invalid parameters."""
@@ -90,7 +94,6 @@ class SolverCapabilities:
     deterministic: bool = False
     supports_colors: bool = False
     supports_sparse: bool = False
-    supports_lazy: bool = False
     supports_utility: bool = False
     supports_shards: bool = False
     max_tasks: int | None = None
@@ -103,7 +106,6 @@ class SolverCapabilities:
         for attr, tag in (
             ("supports_colors", "colors"),
             ("supports_sparse", "sparse"),
-            ("supports_lazy", "lazy"),
             ("supports_utility", "utility"),
             ("supports_shards", "shards"),
         ):
@@ -161,6 +163,16 @@ class BoundSolver:
             raise SolverError(
                 f"solver {entry.name!r} does not accept parameter(s) "
                 f"{', '.join(unknown)}; allowed: {allowed}"
+            )
+        oversized = [
+            f"{key}={spec.params[key]!r} exceeds the bound {bound}"
+            for key, bound in _SIZE_BOUNDS.items()
+            if isinstance(spec.params.get(key), (int, float))
+            and spec.params[key] > bound
+        ]
+        if oversized:
+            raise SolverError(
+                f"solver {entry.name!r}: " + "; ".join(oversized)
             )
         self.entry = entry
         self.spec = spec

@@ -4,7 +4,7 @@ A *spec* names a registered solver plus its parameter overrides in one
 plain string::
 
     haste-offline
-    haste-offline:c=4,lazy=1
+    haste-offline:c=4,smooth=0
     online-haste:tau=2
     greedy-utility:utility=log
 

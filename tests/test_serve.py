@@ -11,10 +11,12 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
 
 import pytest
 
+from repro.faults import ProcessFaultModel
 from repro.serve import (
     EngineBusy,
     EngineClosed,
@@ -24,7 +26,12 @@ from repro.serve import (
     parse_solve_request,
     start_in_thread,
 )
-from repro.sim.config import SimulationConfig
+from repro.sim.config import (
+    MAX_HORIZON_SLOTS,
+    MAX_NUM_COLORS,
+    MAX_NUM_SAMPLES,
+    SimulationConfig,
+)
 from repro.solvers import Instance, RunArtifact, solve_instance, solver_names
 
 QUICK = SimulationConfig.quick()
@@ -318,6 +325,35 @@ class TestEngine:
             assert b.artifact.content_hash() == a.artifact.content_hash()
             assert b.warm  # prepared state still shared
 
+    def test_crashed_workers_replaced_before_degraded_answers(self):
+        # The supervisor poll is far away: only the crash path itself can
+        # have restored the pool by the time the degraded answers land.
+        # More workers than cores and a short switch interval let the
+        # crashes and restarts interleave.
+        engine = ScheduleEngine(
+            workers=4,
+            supervision_interval_s=60,
+            fault_model=ProcessFaultModel(crash=1.0, seed=0),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            futures = [
+                engine.submit(
+                    "haste-offline", Instance.sample(QUICK, 930 + k), seed=0,
+                    degrade=True,
+                )
+                for k in range(3)
+            ]
+            results = [fut.result(timeout=30) for fut in futures]
+            stats = engine.stats()
+            assert all(r.degraded and r.degrade_reason == "crash" for r in results)
+            assert stats["workers_alive"] == stats["workers"] == 4
+            assert stats["worker_crashes"] == stats["worker_restarts"] == 3
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+
 
 class TestProtocol:
     def test_default_spec_applied(self):
@@ -350,6 +386,42 @@ class TestProtocol:
         assert "3 invalid instance field(s)" in message
         for field in ("task_xy", "weights", "alpha"):
             assert field in message
+
+    def test_oversized_instance_lists_every_violation(self):
+        payload = Instance.sample(QUICK, 31).to_dict()
+        payload["config"].update(
+            num_samples=10**9, num_colors=10**6, horizon_slots=10**9
+        )
+        payload["weights"] = _non_finite_instance().to_dict()["weights"]
+        with pytest.raises(ProtocolError) as err:
+            parse_solve_request({"instance": payload}, default_spec="static")
+        message = str(err.value)
+        assert "4 invalid instance field(s)" in message
+        for field in (
+            "config.num_samples=1000000000 exceeds",
+            "config.num_colors=1000000 exceeds",
+            "config.horizon_slots=1000000000 exceeds",
+            "weights",
+        ):
+            assert field in message
+        # At the bounds the instance is accepted.
+        payload = Instance.sample(QUICK, 31).to_dict()
+        payload["config"].update(
+            num_samples=MAX_NUM_SAMPLES,
+            num_colors=MAX_NUM_COLORS,
+            horizon_slots=MAX_HORIZON_SLOTS,
+        )
+        req = parse_solve_request({"instance": payload}, default_spec="static")
+        assert req.instance.config.num_samples == MAX_NUM_SAMPLES
+
+    def test_task_end_slots_beyond_the_horizon_bound_refused(self):
+        inst = Instance.sample(QUICK, 31)
+        inst.end_slots = inst.end_slots.copy()
+        inst.end_slots[0] = MAX_HORIZON_SLOTS + 1
+        with pytest.raises(ProtocolError, match="end_slots=10001 exceeds"):
+            parse_solve_request(
+                {"instance": inst.to_dict()}, default_spec="static"
+            )
 
 
 class TestTrafficEnginePath:

@@ -24,7 +24,7 @@ from repro.offline.centralized import schedule_offline
 from repro.offline.optimal import optimal_schedule
 from repro.offline.smoothing import smooth_switches
 from repro.online.runtime import run_online_baseline, run_online_haste
-from repro.sim.config import SimulationConfig
+from repro.sim.config import MAX_NUM_COLORS, MAX_NUM_SAMPLES, SimulationConfig
 from repro.sim.engine import execute_schedule
 from repro.sim.workload import sample_network
 from repro.solvers import (
@@ -159,6 +159,25 @@ class TestRegistryLookup:
         solver = get_solver(SolverSpec("haste-offline", {"c": 1}))
         assert solver.canonical() == "haste-offline:c=1"
 
+    @pytest.mark.parametrize("name", ["haste-offline", "online-haste"])
+    def test_sizes_no_host_could_serve_refused(self, name):
+        for params in (
+            f"samples={MAX_NUM_SAMPLES + 1}",
+            f"c={MAX_NUM_COLORS + 1}",
+            "c=1e9",
+        ):
+            with pytest.raises(SolverError, match="exceeds the bound"):
+                get_solver(f"{name}:{params}")
+        # Both violations are listed in the one error.
+        with pytest.raises(SolverError) as exc:
+            get_solver(f"{name}:samples=1000000000,c=1000000")
+        assert "c=1000000 exceeds" in str(exc.value)
+        assert "samples=1000000000 exceeds" in str(exc.value)
+        solver = get_solver(
+            f"{name}:samples={MAX_NUM_SAMPLES},c={MAX_NUM_COLORS}"
+        )
+        assert solver.params["samples"] == MAX_NUM_SAMPLES
+
 
 class TestSolveArtifact:
     def test_artifact_fields_populated(self):
@@ -195,6 +214,16 @@ class TestSolveArtifact:
             assert replayed.total_utility == direct.total_utility
             assert np.array_equal(replayed.schedule_sel, direct.schedule_sel)
             assert replayed.content_hash() == direct.content_hash()
+
+    def test_lazy_param_is_accepted_and_ignored(self):
+        inst = Instance.sample(config_for_scale("quick"), seed=11)
+        eager = solve_instance("haste-offline:c=4,lazy=0", inst)
+        lazy = solve_instance("haste-offline:c=4,lazy=1", inst)
+        assert np.array_equal(eager.schedule_sel, lazy.schedule_sel)
+        assert np.array_equal(eager.energies, lazy.energies)
+        assert eager.total_utility == lazy.total_utility
+        # The spec keeps its own canonical form (and so its content hash).
+        assert lazy.solver == "haste-offline:c=4,lazy=1"
 
 
 # ----------------------------------------------------------------------
